@@ -16,8 +16,9 @@
 
 use turbo_kvcache::HeadKvCache;
 
-/// Reusable buffer arena for [`turbo_attend_cache_into`]
-/// (crate::decode::turbo_attend_cache_into) and friends.
+/// Reusable buffer arena for
+/// [`turbo_attend_cache_into`](crate::decode::turbo_attend_cache_into)
+/// and friends.
 ///
 /// Construct once (optionally pre-sized with [`Scratch::for_cache`]) and
 /// pass to every decode step; after the first call at a given cache

@@ -104,10 +104,10 @@ fn bench_decode(c: &mut Criterion) {
         b.iter(|| turbo_attend_cache_splitk(black_box(q.row(0)), &turbo, &sas))
     });
     // One full decode step — append the new token's K/V, then attend —
-    // with and without the write-ahead log on the append path. The delta
-    // is the durability tax of crash-consistent serving.
+    // first without durability, then (8 heads below) with the layer
+    // write-ahead log on the append path.
     //
-    // Every durability row here uses a *persistent* cache/set: each
+    // Every decode-step row here uses a *persistent* cache/set: each
     // iteration appends one token, and every `EPISODE` tokens the state
     // checkpoints and trims back to the 256-token prefix (the real
     // serving cadence). The earlier clone-per-iteration shape timed the
@@ -115,11 +115,6 @@ fn bench_decode(c: &mut Criterion) {
     // the reported "WAL tax" was mostly clone/drop traffic — ~10× on the
     // layer set — not durability.
     const EPISODE: usize = 256;
-    let durable = {
-        let mut d = turbo_kvcache::DurableHeadCache::from_cache(turbo.clone());
-        d.checkpoint();
-        d
-    };
     {
         let mut cache = turbo.clone();
         let mut tok = 0usize;
@@ -135,35 +130,10 @@ fn bench_decode(c: &mut Criterion) {
             })
         });
     }
-    {
-        let mut d = durable.clone();
-        let mut tok = 0usize;
-        g.bench_function("turbo_decode_step_with_wal", |b| {
-            b.iter(|| {
-                d.try_append(k.row(0), v.row(0)).expect("decode append");
-                tok += 1;
-                if tok == EPISODE {
-                    tok = 0;
-                    d.checkpoint();
-                    d = durable.clone();
-                }
-                turbo_attend_cache(black_box(q.row(0)), d.cache(), &sas)
-            })
-        });
-    }
-    // Durability at model scale: 8 heads receive the token's K/V rows.
-    // The per-head baseline logs 8 WAL records per token (one flush per
-    // head); the layer-level group commit logs one record carrying all 8
-    // heads. Both rows append to all 8 caches and attend on head 0, so
-    // the delta between them is purely the logging path.
+    // Durability at model scale: 8 heads receive the token's K/V rows,
+    // logged as one group-commit record carrying all 8 heads; the rows
+    // append to all 8 caches and attend on head 0.
     const HEADS: usize = 8;
-    let head_wals: Vec<turbo_kvcache::DurableHeadCache> = (0..HEADS)
-        .map(|_| {
-            let mut d = turbo_kvcache::DurableHeadCache::from_cache(turbo.clone());
-            d.checkpoint();
-            d
-        })
-        .collect();
     let layer_set = {
         let mut s = turbo_kvcache::DurableLayerSet::new(
             1,
@@ -180,26 +150,6 @@ fn bench_decode(c: &mut Criterion) {
         s.checkpoint(None);
         s
     };
-    {
-        let mut ds = head_wals.clone();
-        let mut tok = 0usize;
-        g.bench_function("turbo_decode_step_8head_head_wals", |b| {
-            b.iter(|| {
-                for d in ds.iter_mut() {
-                    d.try_append(k.row(0), v.row(0)).expect("decode append");
-                }
-                tok += 1;
-                if tok == EPISODE {
-                    tok = 0;
-                    for d in ds.iter_mut() {
-                        d.checkpoint();
-                    }
-                    ds = head_wals.clone();
-                }
-                turbo_attend_cache(black_box(q.row(0)), ds[0].cache(), &sas)
-            })
-        });
-    }
     let kr: Vec<&[f32]> = vec![k.row(0); HEADS];
     let vr: Vec<&[f32]> = vec![v.row(0); HEADS];
     {

@@ -59,9 +59,8 @@ pub use sched::{
     SchedulerStats, StepRecord, TokenEvent,
 };
 pub use serving::{
-    simulate_serving, simulate_serving_batched, simulate_serving_batched_on,
-    simulate_serving_robust, simulate_serving_robust_paged, uniform_workload, RequestSpec,
-    RobustServingStats, ServingPolicy, ServingStats, WorkloadSpec,
+    simulate_serving, simulate_serving_robust, simulate_serving_robust_paged, uniform_workload,
+    RequestSpec, RobustServingStats, ServingPolicy, ServingStats, WorkloadSpec,
 };
 pub use shard::{
     run_sharded_episode, run_sharded_episode_on, ShardMap, ShardRange, ShardedConfig,

@@ -113,8 +113,8 @@ impl HeadKvCache {
         config: KvCacheConfig,
         k_blocks: Vec<ProgressiveBlock>,
         v_blocks: Vec<ProgressiveBlock>,
-        mut k_buf: Int8Buffer,
-        mut v_buf: Int8Buffer,
+        k_buf: Int8Buffer,
+        v_buf: Int8Buffer,
     ) -> Self {
         assert_eq!(k_blocks.len(), v_blocks.len(), "K/V block count mismatch");
         let mut resident_tokens = 0usize;
@@ -126,8 +126,9 @@ impl HeadKvCache {
         }
         assert_eq!(k_buf.len(), v_buf.len(), "K/V buffer length mismatch");
         assert_eq!(k_buf.channels(), d, "buffer channel mismatch");
-        k_buf.reserve_rows(eager_reserve_rows(&config));
-        v_buf.reserve_rows(eager_reserve_rows(&config));
+        // No eager reserve here: `d` and the capacity come from untrusted
+        // bytes. The next `try_append` reserves, after a real row has
+        // proven `d`.
         // Recovery (WAL replay, deserialization) starts with a cold tile
         // cache: the rebuilt blocks get a fresh generation-0 identity, so
         // nothing from a previous life of the cache can be served.
@@ -223,6 +224,10 @@ impl HeadKvCache {
         if let Some(channel) = v.iter().position(|x| !x.is_finite()) {
             return Err(CacheError::NonFinite { channel });
         }
+        // A capacity compare once reserved; a cache rebuilt by `from_parts`
+        // reserves here, after the validated V row has proven `d`.
+        self.k_buf.reserve_rows(eager_reserve_rows(&self.config));
+        self.v_buf.reserve_rows(eager_reserve_rows(&self.config));
         self.k_buf.try_append(k)?;
         self.v_buf
             .try_append(v)

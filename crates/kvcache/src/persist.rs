@@ -31,7 +31,6 @@ use turbo_quant::{BitWidth, PackedCodes, ProgressiveBlock};
 use turbo_robust::{crc32, HealthEvent, HealthStats};
 
 pub mod layer_wal;
-pub mod wal;
 
 /// Serializes `src` as little-endian f32s straight into `dst`
 /// (`dst.len() == 4 * src.len()`). Bulk fixed-width stores instead of

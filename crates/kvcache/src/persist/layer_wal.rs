@@ -1,14 +1,17 @@
 //! Layer-level write-ahead log with **group commit** and an **adaptive
-//! checkpoint scheduler**.
+//! checkpoint scheduler** — the crate's one durable KV path.
 //!
-//! [`super::wal::DurableHeadCache`] makes *one* head crash-consistent; a
-//! real model is `layers × heads` caches, and per-head WALs cost one
-//! fsync-equivalent flush per head per token. A [`DurableLayerSet`] owns
-//! every head of every layer behind **one** log: all heads' K/V rows for
-//! a token travel in a single CRC32-framed record, so the commit is
-//! atomic per token *across the whole model* — the layer-level
-//! generalization of the per-record K/V pairing — and the log is flushed
-//! once per token instead of once per head per token.
+//! A model's KV state is `layers × heads` [`HeadKvCache`](crate::HeadKvCache)s
+//! (a single head is the 1 × 1 case). A [`DurableLayerSet`] owns every
+//! cell behind **one** log: all cells' K/V rows for a token travel in a
+//! single CRC32-framed record, so the commit is atomic per token *across
+//! the whole model* (K and V of one cell can never desync, and neither
+//! can two cells) and the log is synced once per token, or once per `n`
+//! tokens with [`DurableLayerSet::set_flush_every_n_tokens`], instead of
+//! once per head. The durable state is always `checkpoint + WAL tail`:
+//! [`DurableLayerSet::checkpoint`] serializes every cell and truncates
+//! the log, and [`DurableLayerSet::recover`] rebuilds the set from a
+//! crash's leftovers.
 //!
 //! ## WAL format
 //!
@@ -30,21 +33,38 @@
 //! ```
 //!
 //! The trailing CRC makes the multi-layer checkpoint **all-or-nothing**:
-//! a tear anywhere invalidates the whole blob. That is deliberate — the
-//! per-head format can salvage a block prefix, but salvaged prefixes of
-//! *different lengths per layer* would desync heads across layers, which
-//! is exactly the invariant this module exists to protect. A torn
-//! checkpoint therefore degrades to the empty set (token count 0, still a
-//! valid common prefix) and the WAL is dropped with it (its records
-//! continue from the complete checkpoint state).
+//! a tear anywhere invalidates the whole blob. That is deliberate — a
+//! single head snapshot can salvage a block prefix
+//! ([`recover_head_cache`]), but salvaged prefixes of *different
+//! lengths per cell* would desync heads across layers, which is exactly
+//! the invariant this module exists to protect.
+//!
+//! ## Recovery
+//!
+//! A crash can tear either blob at any byte. [`DurableLayerSet::recover`]
+//! then:
+//!
+//! * with a **complete** checkpoint, replays the WAL's longest valid
+//!   record prefix — a torn or corrupt frame ends the replay, and the
+//!   tail is dropped and counted, never half-applied;
+//! * with a **torn** checkpoint, fails, and
+//!   [`DurableLayerSet::recover_or_empty`] degrades to the empty set
+//!   (token count 0, still a valid common prefix); the WAL is dropped
+//!   with it, because its records continue from the complete checkpoint
+//!   state.
+//!
+//! Either way every cell lands bit-identical to the same prefix of the
+//! token stream. Records are applied through the same
+//! `try_append`/`try_flush` calls that produced them, so replay
+//! reproduces buffer scales, flush boundaries and progressive-block
+//! contents exactly.
 //!
 //! ## Adaptive checkpointing
 //!
-//! [`DurableHeadCache::recover`](super::wal::DurableHeadCache::recover)
-//! re-checkpoints on *every* recover — simple, but it pays a full
-//! snapshot serialization per crash and does nothing to bound how long
-//! the *next* replay can take. Here a [`CheckpointPolicy`] is consulted
-//! after every group commit (and after recovery replay):
+//! Recovery does not re-checkpoint unconditionally: that would pay a
+//! full snapshot serialization per crash and do nothing to bound how
+//! long the *next* replay can take. Instead a [`CheckpointPolicy`] is
+//! consulted after every group commit (and after recovery replay):
 //!
 //! * [`ByteBudget`] — checkpoint once the WAL exceeds a byte budget;
 //! * [`RecordBudget`] — checkpoint once the WAL holds that many records;
@@ -904,7 +924,7 @@ impl DurableLayerSet {
     /// row is malformed (nothing is applied or logged);
     /// [`CacheError::ScaleOverflow`] if any cell's capacity flush
     /// overflowed — the token **was** buffered everywhere and **was**
-    /// logged, exactly as the per-head durable cache behaves.
+    /// logged, so replay reproduces the overflow exactly.
     pub fn try_append_token(
         &mut self,
         ks: &[&[f32]],
@@ -1260,6 +1280,7 @@ impl DurableLayerSet {
         }
         let mut pos = HEAD;
         let mut out = Vec::with_capacity(layers);
+        let mut tokens = None;
         for _ in 0..layers {
             let mut caches = Vec::with_capacity(heads);
             for _ in 0..heads {
@@ -1272,6 +1293,18 @@ impl DurableLayerSet {
                     return Err(PersistError::Truncated);
                 }
                 let (cache, report) = recover_head_cache(&blob[pos..pos + len], health)?;
+                // The CRC proves the bytes are what was written, not that
+                // the writer kept every cell on one geometry and length.
+                if cache.head_dim() != d {
+                    return Err(PersistError::Corrupt(
+                        "layer checkpoint head dimension mismatch",
+                    ));
+                }
+                if *tokens.get_or_insert(cache.len()) != cache.len() {
+                    return Err(PersistError::Corrupt(
+                        "layer checkpoint cells disagree on token count",
+                    ));
+                }
                 if !report.complete {
                     // The trailing CRC validated, so an incomplete head
                     // snapshot means a corrupt writer, not storage rot.
@@ -1295,10 +1328,10 @@ impl DurableLayerSet {
     /// way **every cell lands on the same token count**, bit-identical to
     /// a common prefix of the mutation stream.
     ///
-    /// Unlike the per-head durable cache, recovery does **not**
-    /// unconditionally re-checkpoint: the surviving WAL prefix is kept
-    /// and the checkpoint policy decides — with the replay length it just
-    /// measured — whether a fresh snapshot is worth cutting now.
+    /// Recovery does **not** unconditionally re-checkpoint: the surviving
+    /// WAL prefix is kept and the checkpoint policy decides — with the
+    /// replay length it just measured — whether a fresh snapshot is worth
+    /// cutting now.
     ///
     /// # Errors
     ///
@@ -1566,6 +1599,11 @@ mod tests {
         let (ckpt, wal) = set.durable_state();
         let boundaries = LayerWriteAheadLog::record_boundaries(&wal);
         assert_eq!(boundaries.len(), 1 + set.wal().records());
+        // A truncated log exposes only its complete frames.
+        assert_eq!(
+            LayerWriteAheadLog::record_boundaries(&wal[..boundaries[2] + 3]).len(),
+            3
+        );
         for cut in 0..=wal.len() {
             let (back, outcome) = DurableLayerSet::recover(
                 LAYERS, HEADS, D, cfg(), never(), &ckpt, &wal[..cut], None,
@@ -1593,6 +1631,7 @@ mod tests {
         let data = TensorRng::new(4).normal(32, D * CELLS, 0.0, 1.0);
         let mut set = filled(&data, 24, 0);
         set.checkpoint(None);
+        assert!(set.wal().is_empty(), "a checkpoint truncates the WAL");
         for t in 24..32 {
             let rows = cell_rows(&data, t);
             set.try_append_token(&rows, &rows, None).unwrap();
@@ -1619,10 +1658,14 @@ mod tests {
         // And a corrupt byte inside the blob (CRC mismatch) does the same.
         let mut bad = ckpt.clone();
         bad[ckpt.len() / 3] ^= 0x10;
-        let (back, outcome) =
+        let (mut back, outcome) =
             DurableLayerSet::recover_or_empty(LAYERS, HEADS, D, cfg(), never(), &bad, &wal, None);
         assert_eq!(outcome.tokens, 0);
         assert_eq!(back.tokens(), 0);
+        // The degraded set keeps serving.
+        let rows = cell_rows(&data, 0);
+        back.try_append_token(&rows, &rows, None).unwrap();
+        assert_eq!(back.tokens(), 1);
     }
 
     #[test]
@@ -1831,6 +1874,42 @@ mod tests {
             .map(|_| LayerKvCache::uniform(2, D, BitWidth::Int4, 8, 8))
             .collect();
         assert!(replay_layer_wal(wal.as_bytes(), &mut wrong_heads, None).is_err());
+        let mut wrong_dim: Vec<LayerKvCache> = (0..2)
+            .map(|_| LayerKvCache::uniform(3, D + 1, BitWidth::Int4, 8, 8))
+            .collect();
+        assert_eq!(
+            replay_layer_wal(wal.as_bytes(), &mut wrong_dim, None).unwrap_err(),
+            PersistError::Corrupt("layer WAL head dimension mismatch")
+        );
+    }
+
+    #[test]
+    fn checkpoint_with_inconsistent_cells_is_an_error_not_a_panic() {
+        // CRC-valid blobs a faulty writer could produce: cells that
+        // disagree on token count, or a cell of the wrong head dimension.
+        for cells in [[(3usize, D), (4, D)], [(3, D), (3, D + 1)]] {
+            let mut blob = Vec::new();
+            blob.extend_from_slice(CKPT_MAGIC);
+            blob.extend_from_slice(&CKPT_VERSION.to_le_bytes());
+            for n in [1, 2, D] {
+                blob.extend_from_slice(&(n as u32).to_le_bytes());
+            }
+            for (tokens, d) in cells {
+                let mut cache = HeadKvCache::new(d, cfg());
+                for _ in 0..tokens {
+                    cache.try_append(&vec![1.0; d], &vec![1.0; d]).unwrap();
+                }
+                let bytes = serialize_head_cache(&cache);
+                blob.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+                blob.extend_from_slice(&bytes);
+            }
+            let crc = crc32(&blob);
+            blob.extend_from_slice(&crc.to_le_bytes());
+            let wal = LayerWriteAheadLog::new(1, 2, D);
+            let recovered =
+                DurableLayerSet::recover(1, 2, D, cfg(), never(), &blob, wal.as_bytes(), None);
+            assert!(matches!(recovered, Err(PersistError::Corrupt(_))));
+        }
     }
 
     #[test]

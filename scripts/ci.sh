@@ -13,6 +13,10 @@ cargo test -q
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
+echo "==> cargo doc --no-deps --workspace (warnings are errors)"
+# A stale intra-doc link to a deleted or renamed item fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
+
 echo "==> runtime tests under a 2-worker cap (contention path)"
 TURBO_RUNTIME_THREADS=2 cargo test -q -p turbo-runtime
 

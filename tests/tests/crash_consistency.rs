@@ -1,19 +1,20 @@
-//! Crash-consistency acceptance tests for the WAL-backed durable cache.
+//! Crash-consistency acceptance tests for the durable KV path, a
+//! [`DurableLayerSet`] behind one group-commit write-ahead log.
 //!
 //! The contract under test: recovery from *any* torn combination of
-//! snapshot and write-ahead log yields a cache bit-identical to some
+//! checkpoint and write-ahead log yields caches bit-identical to some
 //! valid prefix of the original token stream — K and V never desync, no
-//! token is half-applied, and the result is deterministic. The first
-//! test enumerates every crash point of a 288-token episode (every WAL
-//! record boundary plus eight intra-record byte offsets per record); the
-//! second drives the same contract across both snapshot format versions
-//! at every framing boundary.
+//! cell runs ahead of another, no token is half-applied, and the result
+//! is deterministic. The first two tests enumerate every crash point
+//! (every WAL record boundary plus eight intra-record byte offsets per
+//! record) of a 288-token single-head episode and of a 2 × 3 multi-layer
+//! one; the third drives head-snapshot salvage across both snapshot
+//! format versions at every framing boundary.
 
 use turbo_attention::{multilayer_episode_pipelined_on, multilayer_episode_serialized};
 use turbo_kvcache::{
-    frame_boundaries, recover_head_cache, serialize_head_cache_v1, DurableHeadCache,
-    DurableLayerSet, HeadKvCache, KvCacheConfig, LayerWriteAheadLog, NeverCheckpoint,
-    WriteAheadLog,
+    frame_boundaries, recover_head_cache, serialize_head_cache_v1, DurableLayerSet, HeadKvCache,
+    KvCacheConfig, LayerWriteAheadLog, NeverCheckpoint,
 };
 use turbo_quant::BitWidth;
 use turbo_robust::FaultInjector;
@@ -36,101 +37,140 @@ enum Op {
     Flush,
 }
 
-const TOKENS: usize = 288;
-const CHECKPOINT_AT: usize = 32;
 const FLUSH_EVERY: usize = 13;
 
-#[test]
-fn every_wal_crash_point_recovers_a_bit_identical_prefix() {
-    let d = 8;
-    let mut rng = TensorRng::new(0xC0A5);
-    let kd = rng.normal(TOKENS, d, 0.0, 1.0);
-    let vd = rng.normal(TOKENS, d, 0.0, 1.0);
+/// Token `t`'s rows, one per cell: cell c (layer-major) reads columns
+/// `[c*d, (c+1)*d)` of `m`, so every cell sees a distinct stream and any
+/// cross-cell mixup breaks bit-identity.
+fn cell_rows(m: &Matrix, t: usize, d: usize) -> Vec<&[f32]> {
+    m.row(t).chunks_exact(d).collect()
+}
 
-    // Drive the episode: appends with periodic explicit flushes, one
-    // checkpoint early on so the WAL carries most of the stream.
-    let mut durable = DurableHeadCache::new(d, cfg());
-    let mut post_ops: Vec<Op> = Vec::new(); // ops the WAL holds
-    for t in 0..TOKENS {
-        if t == CHECKPOINT_AT {
-            durable.checkpoint();
+/// Drives a `layers × heads` episode of `tokens` tokens (a checkpoint at
+/// `checkpoint_at`, a flush-all every [`FLUSH_EVERY`] tokens), then cuts
+/// the WAL at every record boundary and at eight intra-record offsets per
+/// record. Every cut must recover all cells to the *same* token-count
+/// prefix, each bit-identical to an uninterrupted cache over it.
+fn crash_every_wal_point(
+    layers: usize,
+    heads: usize,
+    d: usize,
+    tokens: usize,
+    checkpoint_at: usize,
+    seed: u64,
+) {
+    let cells = layers * heads;
+    let mut rng = TensorRng::new(seed);
+    let kd = rng.normal(tokens, d * cells, 0.0, 1.0);
+    let vd = rng.normal(tokens, d * cells, 0.0, 1.0);
+
+    // Drive the episode, logging the ops the WAL holds past the
+    // checkpoint.
+    let mut set = DurableLayerSet::new(layers, heads, d, cfg(), Box::new(NeverCheckpoint));
+    let mut post_ops: Vec<Op> = Vec::new();
+    for t in 0..tokens {
+        if t == checkpoint_at {
+            set.checkpoint(None);
         }
-        durable.try_append(kd.row(t), vd.row(t)).unwrap();
-        if t >= CHECKPOINT_AT {
+        set.try_append_token(&cell_rows(&kd, t, d), &cell_rows(&vd, t, d), None)
+            .unwrap();
+        if t >= checkpoint_at {
             post_ops.push(Op::Append(t));
         }
         if (t + 1) % FLUSH_EVERY == 0 {
-            let logged = durable.cache().buffer_len() > 0;
-            durable.try_flush().unwrap();
-            if t >= CHECKPOINT_AT && logged {
+            let logged = set.layer(0).head(0).buffer_len() > 0;
+            set.try_flush_all(None).unwrap();
+            if t >= checkpoint_at && logged {
                 post_ops.push(Op::Flush);
             }
         }
     }
-    let (snap, wal) = durable.durable_state();
+    let (snap, wal) = set.durable_state();
     assert_eq!(
-        durable.wal().records(),
+        set.wal().records(),
         post_ops.len(),
         "the op log must mirror the WAL exactly"
     );
 
-    let boundaries = WriteAheadLog::record_boundaries(&wal);
+    let boundaries = LayerWriteAheadLog::record_boundaries(&wal);
     assert_eq!(boundaries.len(), post_ops.len() + 1);
     assert_eq!(*boundaries.last().unwrap(), wal.len());
-    // The acceptance bar: at least 256 tokens flow through the WAL.
-    const { assert!(TOKENS - CHECKPOINT_AT >= 256) };
 
-    // `check` asserts that cutting the WAL at `cut` bytes recovers a
-    // cache bit-identical to `reference` (serialized-state equality),
-    // with K/V row counts in lockstep.
-    let check = |cut: usize, reference: &HeadKvCache, expect_tokens: usize| {
-        let (back, outcome) = DurableHeadCache::recover(&snap, &wal[..cut], None)
-            .expect("a clean snapshot anchors recovery at any WAL cut");
-        let (k, v) = back.cache().dequantize_all();
-        assert_eq!(k.rows(), v.rows(), "K/V desynced at cut {cut}");
-        assert_eq!(back.cache().len(), expect_tokens, "cut {cut}");
-        assert_eq!(outcome.tokens, expect_tokens, "cut {cut}");
-        assert_eq!(
-            back.cache().to_bytes(),
-            reference.to_bytes(),
-            "recovered state is not bit-identical to the stream prefix at cut {cut}"
-        );
+    // Reference: one independent head cache per cell, advanced in
+    // lockstep with the boundaries.
+    let mut reference: Vec<HeadKvCache> = (0..cells).map(|_| HeadKvCache::new(d, cfg())).collect();
+    let apply = |reference: &mut Vec<HeadKvCache>, op: Op| match op {
+        Op::Append(t) => {
+            let (ks, vs) = (cell_rows(&kd, t, d), cell_rows(&vd, t, d));
+            for (c, r) in reference.iter_mut().enumerate() {
+                r.try_append(ks[c], vs[c]).unwrap();
+            }
+        }
+        Op::Flush => reference.iter_mut().for_each(|r| r.try_flush().unwrap()),
     };
-
-    // Reference advanced in lockstep: first the pre-checkpoint stream
-    // (the snapshot's contents), then one WAL op per boundary.
-    let mut reference = HeadKvCache::new(d, cfg());
-    for t in 0..CHECKPOINT_AT {
-        reference.try_append(kd.row(t), vd.row(t)).unwrap();
+    for t in 0..checkpoint_at {
+        apply(&mut reference, Op::Append(t));
         if (t + 1) % FLUSH_EVERY == 0 {
-            reference.try_flush().unwrap();
+            apply(&mut reference, Op::Flush);
         }
     }
 
-    // Cuts inside the WAL header: the whole log drops, the snapshot
+    let check = |cut: usize, reference: &[HeadKvCache], expect_tokens: usize| {
+        let (back, outcome) = DurableLayerSet::recover(
+            layers,
+            heads,
+            d,
+            cfg(),
+            Box::new(NeverCheckpoint),
+            &snap,
+            &wal[..cut],
+            None,
+        )
+        .expect("a clean checkpoint anchors recovery at any WAL cut");
+        assert_eq!(outcome.tokens, expect_tokens, "cut {cut}");
+        for l in 0..layers {
+            for h in 0..heads {
+                let head = back.layer(l).head(h);
+                let (k, v) = head.dequantize_all();
+                assert_eq!(
+                    k.rows(),
+                    v.rows(),
+                    "cell ({l},{h}): K/V desynced at cut {cut}"
+                );
+                assert_eq!(
+                    head.len(),
+                    expect_tokens,
+                    "cell ({l},{h}) desynced from the group prefix at cut {cut}"
+                );
+                assert_eq!(
+                    head.to_bytes(),
+                    reference[l * heads + h].to_bytes(),
+                    "cell ({l},{h}) not bit-identical to the stream prefix at cut {cut}"
+                );
+            }
+        }
+    };
+
+    // Cuts inside the WAL header drop the whole log; the checkpoint
     // alone survives.
     for cut in 0..boundaries[0] {
-        check(cut, &reference, CHECKPOINT_AT);
+        check(cut, &reference, checkpoint_at);
     }
 
-    let mut tokens = CHECKPOINT_AT;
-    for (n, pair) in std::iter::once(None)
-        .chain(post_ops.iter().map(Some))
+    let mut replayed = checkpoint_at;
+    for (n, (op, &boundary)) in std::iter::once(None)
+        .chain(post_ops.iter().copied().map(Some))
         .zip(boundaries.iter())
         .enumerate()
     {
-        let (op, &boundary) = pair;
         if let Some(op) = op {
-            match *op {
-                Op::Append(t) => {
-                    reference.try_append(kd.row(t), vd.row(t)).unwrap();
-                    tokens += 1;
-                }
-                Op::Flush => reference.try_flush().unwrap(),
+            apply(&mut reference, op);
+            if let Op::Append(_) = op {
+                replayed += 1;
             }
         }
         // The clean frame boundary itself...
-        check(boundary, &reference, tokens);
+        check(boundary, &reference, replayed);
         // ...and eight torn cuts inside the *next* record, all of which
         // must fall back to exactly this boundary's state.
         if n + 1 < boundaries.len() {
@@ -138,34 +178,45 @@ fn every_wal_crash_point_recovers_a_bit_identical_prefix() {
             for j in 1..=8usize {
                 let cut = boundary + j * (next - boundary) / 9;
                 if cut > boundary && cut < next {
-                    check(cut, &reference, tokens);
+                    check(cut, &reference, replayed);
                 }
             }
         }
     }
-    assert_eq!(tokens, TOKENS, "the full episode must replay at the end");
+    assert_eq!(replayed, tokens, "the full episode must replay at the end");
 }
 
-/// Corrupting or truncating a snapshot at (and around) every framing
-/// boundary, in both format versions, must never panic and must always
-/// recover a valid prefix — with or without a WAL replayed on top.
+/// Crash-point exhaustiveness on a single head (1 × 1, d = 8) carrying
+/// 256 of its 288 tokens through the WAL.
+#[test]
+fn every_wal_crash_point_recovers_a_bit_identical_prefix() {
+    const TOKENS: usize = 288;
+    const CHECKPOINT_AT: usize = 32;
+    // The acceptance bar: at least 256 tokens flow through the WAL.
+    const { assert!(TOKENS - CHECKPOINT_AT >= 256) };
+    crash_every_wal_point(1, 1, 8, TOKENS, CHECKPOINT_AT, 0xC0A5);
+}
+
+/// Crash-point exhaustiveness on a multi-layer set (2 layers × 3 heads,
+/// d = 4, distinct K/V per cell).
+#[test]
+fn every_layer_wal_crash_point_recovers_a_common_prefix() {
+    crash_every_wal_point(2, 3, 4, 64, 24, 0x1A7E);
+}
+
+/// Truncating or corrupting a head snapshot at (and around) every
+/// framing boundary, in both format versions, must never panic and must
+/// always salvage a valid prefix.
 #[test]
 fn snapshot_framing_boundaries_recover_cleanly_across_versions() {
     let d = 6;
     let mut rng = TensorRng::new(0xF2A2);
-    let data = rng.normal(48, d, 0.0, 1.0);
+    let data = rng.normal(44, d, 0.0, 1.0);
     let mut cache = HeadKvCache::new(d, cfg());
     for t in 0..44 {
         // 44 = 5 sealed blocks of 8 plus a 4-row partial buffer.
         cache.try_append(data.row(t), data.row(t)).unwrap();
     }
-
-    // A WAL continuing the stream past the snapshot.
-    let mut durable = DurableHeadCache::from_cache(cache.clone());
-    for t in 44..48 {
-        durable.try_append(data.row(t), data.row(t)).unwrap();
-    }
-    let (_, wal) = durable.durable_state();
 
     let v2 = cache.to_bytes();
     let v1 = serialize_head_cache_v1(&cache);
@@ -182,20 +233,6 @@ fn snapshot_framing_boundaries_recover_cleanly_across_versions() {
                     assert_eq!(k.rows(), v.rows(), "{version} cut {cut}");
                     assert!(report.valid_tokens <= 44);
                 }
-                // The durable path must hold the same contract with the
-                // WAL replayed on top of the damaged snapshot.
-                if let Ok((back, outcome)) = DurableHeadCache::recover(torn, &wal, None) {
-                    let (k, v) = back.cache().dequantize_all();
-                    assert_eq!(k.rows(), v.rows(), "{version} cut {cut}");
-                    assert_eq!(back.cache().len(), outcome.tokens);
-                    assert!(outcome.tokens <= 48);
-                    if !outcome.snapshot.complete {
-                        assert!(
-                            outcome.wal.is_none(),
-                            "{version} cut {cut}: a torn snapshot must drop the WAL"
-                        );
-                    }
-                }
             }
             // Corrupt one byte just past the boundary (inside the next
             // frame) and recover: never a panic, always a valid prefix.
@@ -206,10 +243,6 @@ fn snapshot_framing_boundaries_recover_cleanly_across_versions() {
                     assert_eq!(salvaged.len(), report.valid_tokens, "{version} corrupt @{b}");
                     let (k, v) = salvaged.dequantize_all();
                     assert_eq!(k.rows(), v.rows());
-                }
-                if let Ok((back, _)) = DurableHeadCache::recover(&bad, &wal, None) {
-                    let (k, v) = back.cache().dequantize_all();
-                    assert_eq!(k.rows(), v.rows(), "{version} corrupt @{b}");
                 }
             }
         }
@@ -222,145 +255,6 @@ fn snapshot_framing_boundaries_recover_cleanly_across_versions() {
     let (full1, report1) = recover_head_cache(&v1, None).unwrap();
     assert!(report1.complete);
     assert_eq!(full1.len(), 44);
-    let (back, outcome) = DurableHeadCache::recover(&v2, &wal, None).unwrap();
-    assert!(outcome.clean);
-    assert_eq!(back.cache().len(), 48);
-}
-
-/// Crash-point exhaustiveness for the layer-level group-commit WAL: a
-/// multi-layer episode (2 layers × 3 heads, distinct K/V per cell) is
-/// cut at every record boundary and at eight intra-record offsets per
-/// record, and every cut must recover all heads of all layers to the
-/// *same* token-count prefix — no cell ever runs ahead of another, and
-/// each cell is bit-identical to an uninterrupted cache over that
-/// prefix.
-#[test]
-fn every_layer_wal_crash_point_recovers_a_common_prefix() {
-    const LAYERS: usize = 2;
-    const HEADS: usize = 3;
-    const CELLS: usize = LAYERS * HEADS;
-    const LW_TOKENS: usize = 64;
-    const LW_CHECKPOINT_AT: usize = 24;
-    let d = 4;
-    let mut rng = TensorRng::new(0x1A7E);
-    // One wide matrix per side; cell c (layer-major) reads columns
-    // [c*d, (c+1)*d), so every cell sees a distinct stream and any
-    // cross-cell mixup breaks bit-identity.
-    let kd = rng.normal(LW_TOKENS, d * CELLS, 0.0, 1.0);
-    let vd = rng.normal(LW_TOKENS, d * CELLS, 0.0, 1.0);
-    let rows_at = |m: &Matrix, t: usize| -> Vec<Vec<f32>> {
-        (0..CELLS).map(|c| m.row(t)[c * d..(c + 1) * d].to_vec()).collect()
-    };
-
-    let mut set = DurableLayerSet::new(LAYERS, HEADS, d, cfg(), Box::new(NeverCheckpoint));
-    let mut post_ops: Vec<Op> = Vec::new();
-    for t in 0..LW_TOKENS {
-        if t == LW_CHECKPOINT_AT {
-            set.checkpoint(None);
-        }
-        let kr = rows_at(&kd, t);
-        let vr = rows_at(&vd, t);
-        let ks: Vec<&[f32]> = kr.iter().map(Vec::as_slice).collect();
-        let vs: Vec<&[f32]> = vr.iter().map(Vec::as_slice).collect();
-        set.try_append_token(&ks, &vs, None).unwrap();
-        if t >= LW_CHECKPOINT_AT {
-            post_ops.push(Op::Append(t));
-        }
-        if (t + 1) % FLUSH_EVERY == 0 {
-            let logged = set.layer(0).head(0).buffer_len() > 0;
-            set.try_flush_all(None).unwrap();
-            if t >= LW_CHECKPOINT_AT && logged {
-                post_ops.push(Op::Flush);
-            }
-        }
-    }
-    let (snap, wal) = set.durable_state();
-    assert_eq!(set.wal().records(), post_ops.len());
-
-    let boundaries = LayerWriteAheadLog::record_boundaries(&wal);
-    assert_eq!(boundaries.len(), post_ops.len() + 1);
-    assert_eq!(*boundaries.last().unwrap(), wal.len());
-
-    // Reference: one independent head cache per cell, advanced in
-    // lockstep with the boundaries.
-    let mut reference: Vec<HeadKvCache> =
-        (0..CELLS).map(|_| HeadKvCache::new(d, cfg())).collect();
-    let apply = |reference: &mut Vec<HeadKvCache>, op: Op| match op {
-        Op::Append(t) => {
-            for (c, r) in reference.iter_mut().enumerate() {
-                r.try_append(&kd.row(t)[c * d..(c + 1) * d], &vd.row(t)[c * d..(c + 1) * d])
-                    .unwrap();
-            }
-        }
-        Op::Flush => reference.iter_mut().for_each(|r| r.try_flush().unwrap()),
-    };
-    for t in 0..LW_CHECKPOINT_AT {
-        apply(&mut reference, Op::Append(t));
-        if (t + 1) % FLUSH_EVERY == 0 {
-            apply(&mut reference, Op::Flush);
-        }
-    }
-
-    let check = |cut: usize, reference: &[HeadKvCache], expect_tokens: usize| {
-        let (back, outcome) = DurableLayerSet::recover(
-            LAYERS,
-            HEADS,
-            d,
-            cfg(),
-            Box::new(NeverCheckpoint),
-            &snap,
-            &wal[..cut],
-            None,
-        )
-        .expect("a clean checkpoint anchors recovery at any WAL cut");
-        assert_eq!(outcome.tokens, expect_tokens, "cut {cut}");
-        for l in 0..LAYERS {
-            for h in 0..HEADS {
-                let head = back.layer(l).head(h);
-                assert_eq!(
-                    head.len(),
-                    expect_tokens,
-                    "cell ({l},{h}) desynced from the group prefix at cut {cut}"
-                );
-                assert_eq!(
-                    head.to_bytes(),
-                    reference[l * HEADS + h].to_bytes(),
-                    "cell ({l},{h}) not bit-identical at cut {cut}"
-                );
-            }
-        }
-    };
-
-    // Cuts inside the WAL header drop the whole log; the checkpoint
-    // alone survives.
-    for cut in 0..boundaries[0] {
-        check(cut, &reference, LW_CHECKPOINT_AT);
-    }
-
-    let mut tokens = LW_CHECKPOINT_AT;
-    for (n, (op, &boundary)) in std::iter::once(None)
-        .chain(post_ops.iter().copied().map(Some))
-        .zip(boundaries.iter())
-        .enumerate()
-    {
-        if let Some(op) = op {
-            apply(&mut reference, op);
-            if let Op::Append(_) = op {
-                tokens += 1;
-            }
-        }
-        check(boundary, &reference, tokens);
-        if n + 1 < boundaries.len() {
-            let next = boundaries[n + 1];
-            for j in 1..=8usize {
-                let cut = boundary + j * (next - boundary) / 9;
-                if cut > boundary && cut < next {
-                    check(cut, &reference, tokens);
-                }
-            }
-        }
-    }
-    assert_eq!(tokens, LW_TOKENS, "the full episode must replay at the end");
 }
 
 /// The fsync-style batched WAL flush: with `flush_every_n_tokens = n`, a
@@ -379,18 +273,12 @@ fn batched_wal_flush_bounds_loss_and_survives_tears() {
     let mut rng = TensorRng::new(0xBA7C);
     let kd = rng.normal(tokens, d * CELLS, 0.0, 1.0);
     let vd = rng.normal(tokens, d * CELLS, 0.0, 1.0);
-    let rows_at = |m: &Matrix, t: usize| -> Vec<Vec<f32>> {
-        (0..CELLS).map(|c| m.row(t)[c * d..(c + 1) * d].to_vec()).collect()
-    };
 
     let mut set = DurableLayerSet::new(LAYERS, HEADS, d, cfg(), Box::new(NeverCheckpoint));
     set.set_flush_every_n_tokens(interval);
     for t in 0..tokens {
-        let kr = rows_at(&kd, t);
-        let vr = rows_at(&vd, t);
-        let ks: Vec<&[f32]> = kr.iter().map(Vec::as_slice).collect();
-        let vs: Vec<&[f32]> = vr.iter().map(Vec::as_slice).collect();
-        set.try_append_token(&ks, &vs, None).unwrap();
+        set.try_append_token(&cell_rows(&kd, t, d), &cell_rows(&vd, t, d), None)
+            .unwrap();
     }
     assert_eq!(set.tokens(), tokens, "in-memory set holds every token");
 
@@ -422,12 +310,9 @@ fn batched_wal_flush_bounds_loss_and_survives_tears() {
     let mut applied = 0usize;
     for (i, &cut) in LayerWriteAheadLog::record_boundaries(&wal).iter().enumerate() {
         while applied < i {
+            let (ks, vs) = (cell_rows(&kd, applied, d), cell_rows(&vd, applied, d));
             for (c, r) in reference.iter_mut().enumerate() {
-                r.try_append(
-                    &kd.row(applied)[c * d..(c + 1) * d],
-                    &vd.row(applied)[c * d..(c + 1) * d],
-                )
-                .unwrap();
+                r.try_append(ks[c], vs[c]).unwrap();
             }
             applied += 1;
         }
@@ -473,7 +358,7 @@ fn layer_wal_chaos_smoke() {
         if t == 16 {
             set.checkpoint(None);
         }
-        let rows: Vec<&[f32]> = (0..CELLS).map(|c| &data.row(t)[c * d..(c + 1) * d]).collect();
+        let rows = cell_rows(&data, t, d);
         set.try_append_token(&rows, &rows, None).unwrap();
     }
     let (snap, wal) = set.durable_state();
@@ -626,37 +511,50 @@ fn pipelined_crash_cut_replays_same_wal_prefix_as_serialized() {
 }
 
 /// The recovered prefix is usable, not just structurally coherent: a
-/// rebuilt cache accepts further appends and dequantizes to the same
-/// values as an uninterrupted cache over the same stream.
+/// rebuilt single-head set accepts further appends and dequantizes to
+/// the same values as an uninterrupted cache over the same stream.
 #[test]
 fn recovered_prefix_resumes_the_stream_seamlessly() {
     let d = 4;
     let mut rng = TensorRng::new(0xBEEF);
     let data: Matrix = rng.normal(64, d, 0.0, 1.0);
-    let mut durable = DurableHeadCache::new(d, cfg());
+    let mut durable = DurableLayerSet::new(1, 1, d, cfg(), Box::new(NeverCheckpoint));
     for t in 0..40 {
         if t == 24 {
-            durable.checkpoint();
+            durable.checkpoint(None);
         }
-        durable.try_append(data.row(t), data.row(t)).unwrap();
+        durable
+            .try_append_token(&[data.row(t)], &[data.row(t)], None)
+            .unwrap();
     }
     let (snap, wal) = durable.durable_state();
     // Tear mid-record, recover, and finish the stream on the survivor.
-    let boundaries = WriteAheadLog::record_boundaries(&wal);
+    let boundaries = LayerWriteAheadLog::record_boundaries(&wal);
     let cut = (boundaries[7] + boundaries[8]) / 2;
-    let (mut back, outcome) = DurableHeadCache::recover(&snap, &wal[..cut], None).unwrap();
+    let (mut back, outcome) = DurableLayerSet::recover(
+        1,
+        1,
+        d,
+        cfg(),
+        Box::new(NeverCheckpoint),
+        &snap,
+        &wal[..cut],
+        None,
+    )
+    .unwrap();
     let resumed_from = outcome.tokens;
     assert_eq!(resumed_from, 24 + 7, "seven WAL records survive the tear");
     for t in resumed_from..64 {
-        back.try_append(data.row(t), data.row(t)).unwrap();
+        back.try_append_token(&[data.row(t)], &[data.row(t)], None)
+            .unwrap();
     }
     let mut uninterrupted = HeadKvCache::new(d, cfg());
     for t in 0..64 {
         uninterrupted.try_append(data.row(t), data.row(t)).unwrap();
     }
-    assert_eq!(back.cache().len(), 64);
+    assert_eq!(back.tokens(), 64);
     assert_eq!(
-        back.cache().dequantize_all(),
+        back.layer(0).head(0).dequantize_all(),
         uninterrupted.dequantize_all(),
         "the resumed stream must be value-identical to an uninterrupted one"
     );

@@ -270,29 +270,29 @@ fn wal_recovery_survives_arbitrary_byte_mutations() {
     // a valid write-ahead log must yield a clean recovery to some valid
     // prefix of the token stream — never a panic, never a desynced K/V
     // pair, never more tokens than were written.
-    use turbo_kvcache::DurableHeadCache;
+    use turbo_kvcache::{DurableLayerSet, NeverCheckpoint};
     use turbo_robust::FaultInjector;
 
+    let cfg = KvCacheConfig {
+        bits: BitWidth::Int4,
+        group_size: 8,
+        buffer_capacity: 8,
+    };
     let mut rng = TensorRng::new(0xF0A4);
     let data = rng.normal(37, 6, 0.0, 1.0);
-    let mut durable = DurableHeadCache::new(
-        6,
-        KvCacheConfig {
-            bits: BitWidth::Int4,
-            group_size: 8,
-            buffer_capacity: 8,
-        },
-    );
+    let mut durable = DurableLayerSet::new(1, 1, 6, cfg, Box::new(NeverCheckpoint));
     for t in 0..37 {
         if t == 16 {
-            durable.checkpoint();
+            durable.checkpoint(None);
         }
-        durable.try_append(data.row(t), data.row(t)).unwrap();
+        durable
+            .try_append_token(&[data.row(t)], &[data.row(t)], None)
+            .unwrap();
         if (t + 1) % 7 == 0 {
-            durable.try_flush().unwrap();
+            durable.try_flush_all(None).unwrap();
         }
     }
-    let (snap, clean_wal) = durable.durable_state();
+    let (checkpoint, clean_wal) = durable.durable_state();
 
     let mut inj = FaultInjector::new(0xF024);
     let mut complete_despite_damage = 0usize;
@@ -319,14 +319,27 @@ fn wal_recovery_survives_arbitrary_byte_mutations() {
                 true
             }
         };
-        let (back, outcome) = DurableHeadCache::recover(&snap, &wal, None)
-            .expect("a clean snapshot anchors recovery under any WAL damage");
+        let (back, outcome) = DurableLayerSet::recover(
+            1,
+            1,
+            6,
+            cfg,
+            Box::new(NeverCheckpoint),
+            &checkpoint,
+            &wal,
+            None,
+        )
+        .expect("a clean checkpoint anchors recovery under any WAL damage");
         // Whatever survived is a coherent prefix: K/V in lockstep and
         // never longer than the original stream.
-        let (k, v) = back.cache().dequantize_all();
+        let head = back.layer(0).head(0);
+        let (k, v) = head.dequantize_all();
         assert_eq!(k.rows(), v.rows(), "round {round}");
-        assert_eq!(back.cache().len(), outcome.tokens, "round {round}");
-        assert!(outcome.tokens >= 16, "the snapshot prefix always survives");
+        assert_eq!(head.len(), outcome.tokens, "round {round}");
+        assert!(
+            outcome.tokens >= 16,
+            "the checkpoint prefix always survives"
+        );
         assert!(outcome.tokens <= 37, "round {round}: tokens from nowhere");
         if damaged && outcome.clean {
             complete_despite_damage += 1;
